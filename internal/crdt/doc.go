@@ -37,6 +37,13 @@ type object struct {
 	entries map[string]*mapEntry
 	elems   []listElem
 	sums    map[ActorID]int64
+	// parent and key locate the map slot the object was created under
+	// (empty for the root). They are set by the first set that
+	// references the object, whether or not that set wins its slot, so
+	// ops on an object that lost a concurrent write still map back to
+	// the key it was written under.
+	parent ObjID
+	key    string
 }
 
 func newObject(kind ObjKind) *object {
@@ -64,8 +71,12 @@ type Doc struct {
 	vv      VersionVector
 	objs    map[ObjID]*object
 	history []Change
-	pending []Op     // uncommitted local ops (already applied to state)
-	parked  []Change // remote changes awaiting dependencies
+	// actorPos lists, per actor, the history positions of its changes.
+	// An actor's changes enter history in sequence order, so each list
+	// is sorted by Seq and GetChanges binary-searches it.
+	actorPos map[ActorID][]int
+	pending  []Op     // uncommitted local ops (already applied to state)
+	parked   []Change // remote changes awaiting dependencies
 	// version counts state mutations (local records plus integrated
 	// remote changes). It is replica-local — never exchanged — and lets
 	// the synchronization runtime skip idle replicas with one integer
@@ -85,6 +96,7 @@ func NewDoc(actor ActorID) *Doc {
 		actor:     actor,
 		vv:        make(VersionVector),
 		objs:      map[ObjID]*object{RootObj: newObject(KindMap)},
+		actorPos:  make(map[ActorID][]int),
 		compacted: make(VersionVector),
 	}
 	return d
@@ -140,6 +152,13 @@ func (d *Doc) Commit(msg string) {
 	}
 	d.pending = nil
 	d.vv[d.actor] = d.seq
+	d.appendHistory(ch)
+}
+
+// appendHistory records a committed or integrated change at the end of
+// history and in its actor's position list.
+func (d *Doc) appendHistory(ch Change) {
+	d.actorPos[ch.Actor] = append(d.actorPos[ch.Actor], len(d.history))
 	d.history = append(d.history, ch)
 }
 
@@ -149,13 +168,33 @@ func (d *Doc) Commit(msg string) {
 //
 // After Compact, requests from peers older than the compaction point
 // cannot be served incrementally; use GetChangesChecked to detect that.
+//
+// The lookup binary-searches each actor's position list for the first
+// change past since, so its cost follows the number of actors and the
+// size of the answer rather than the length of history.
 func (d *Doc) GetChanges(since VersionVector) []Change {
 	d.Commit("")
-	var out []Change
-	for _, ch := range d.history {
-		if ch.Seq > since[ch.Actor] {
-			out = append(out, ch)
+	var pos []int
+	sources := 0
+	for actor, ps := range d.actorPos {
+		s := since[actor]
+		i := sort.Search(len(ps), func(i int) bool { return d.history[ps[i]].Seq > s })
+		if i < len(ps) {
+			pos = append(pos, ps[i:]...)
+			sources++
 		}
+	}
+	switch {
+	case len(pos) == 0:
+		return nil
+	case len(pos) == len(d.history):
+		return append([]Change(nil), d.history...)
+	case sources > 1:
+		sort.Ints(pos) // history order
+	}
+	out := make([]Change, len(pos))
+	for i, p := range pos {
+		out[i] = d.history[p]
 	}
 	return out
 }
@@ -197,6 +236,10 @@ func (d *Doc) Compact(through VersionVector) int {
 		kept = append(kept, ch)
 	}
 	d.history = kept
+	clear(d.actorPos)
+	for i, ch := range d.history {
+		d.actorPos[ch.Actor] = append(d.actorPos[ch.Actor], i)
+	}
 	d.compacted.Merge(bound)
 	return dropped
 }
@@ -216,6 +259,15 @@ func (d *Doc) HistoryLen() int {
 // causal dependencies are parked and applied once the gap fills. The
 // returned count is the number of changes actually applied now.
 func (d *Doc) ApplyChanges(chs []Change) (int, error) {
+	return d.ApplyChangesFunc(chs, nil)
+}
+
+// ApplyChangesFunc is ApplyChanges calling integrated (when non-nil)
+// with each change right after it is integrated, in integration order —
+// including parked changes this batch released. Duplicates and changes
+// that stay parked are not reported, so the calls are exactly the
+// changes that altered the document.
+func (d *Doc) ApplyChangesFunc(chs []Change, integrated func(Change)) (int, error) {
 	d.Commit("")
 	for _, ch := range chs {
 		if ch.Seq == 0 {
@@ -234,6 +286,9 @@ func (d *Doc) ApplyChanges(chs []Change) (int, error) {
 			if d.applicable(ch) {
 				if err := d.integrate(ch); err != nil {
 					return applied, err
+				}
+				if integrated != nil {
+					integrated(ch)
 				}
 				applied++
 				progress = true
@@ -275,7 +330,7 @@ func (d *Doc) integrate(ch Change) error {
 		}
 	}
 	d.vv[ch.Actor] = ch.Seq
-	d.history = append(d.history, ch)
+	d.appendHistory(ch)
 	d.version++
 	return nil
 }
@@ -294,6 +349,11 @@ func (d *Doc) applyOp(op Op) error {
 		o, err := d.obj(op.Obj, KindMap)
 		if err != nil {
 			return err
+		}
+		if op.Val.Kind == ValObj {
+			if c := d.objs[op.Val.Obj]; c != nil && c.parent == "" {
+				c.parent, c.key = op.Obj, op.Key
+			}
 		}
 		e := o.entries[op.Key]
 		if e == nil {
@@ -647,6 +707,16 @@ func (d *Doc) CounterValue(obj ObjID) int64 {
 		sum += v
 	}
 	return sum
+}
+
+// Parent returns the map and key an object was created under. ok is
+// false for the root and for objects the document does not hold.
+func (d *Doc) Parent(id ObjID) (parent ObjID, key string, ok bool) {
+	o := d.objs[id]
+	if o == nil || o.parent == "" {
+		return "", "", false
+	}
+	return o.parent, o.key, true
 }
 
 // Kind returns the kind of an object, or 0 if it does not exist.

@@ -74,6 +74,15 @@ func (f *Files) Remove(path string) error {
 	return f.doc.Delete(f.files, path)
 }
 
+// PathOf maps an op of an integrated change to the file path it wrote
+// or removed.
+func (f *Files) PathOf(op Op) (string, bool) {
+	if op.Obj != f.files || (op.Type != OpSet && op.Type != OpDel) {
+		return "", false
+	}
+	return op.Key, true
+}
+
 // Paths returns the stored paths, sorted.
 func (f *Files) Paths() []string { return f.doc.MapKeys(f.files) }
 

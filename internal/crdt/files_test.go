@@ -150,3 +150,27 @@ func BenchmarkFilesSyncDelta(b *testing.B) {
 		}
 	}
 }
+
+func TestPathOfMapsFileOps(t *testing.T) {
+	f, err := NewFiles("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Write("x.txt", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Remove("x.txt"); err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, ch := range f.GetChanges(nil) {
+		for _, op := range ch.Ops {
+			if p, ok := f.PathOf(op); ok {
+				paths = append(paths, p)
+			}
+		}
+	}
+	if len(paths) != 2 || paths[0] != "x.txt" || paths[1] != "x.txt" {
+		t.Fatalf("paths = %v, want the write and the remove of x.txt", paths)
+	}
+}

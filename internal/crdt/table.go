@@ -72,6 +72,46 @@ func (t *Table) tableObj(name string) (ObjID, error) {
 	return v.Obj, nil
 }
 
+// HasTable reports whether the named table exists.
+func (t *Table) HasTable(name string) bool {
+	_, err := t.tableObj(name)
+	return err == nil
+}
+
+// RowRef names the row an integrated op may have changed. An empty Key
+// stands for every row of the table: the op wrote the table's own slot,
+// so the table may now resolve to a different container.
+type RowRef struct {
+	Table, Key string
+}
+
+// RowOf maps an op of an integrated change to the row it may have
+// changed: a set or delete on the tables container names a whole table,
+// one on a table object names the row under that key, and a cell write
+// on a row object names the row the object was created as — even when
+// that object lost a concurrent insert of the same key. Other ops (object
+// creation) change no visible row and report ok=false.
+func (t *Table) RowOf(op Op) (RowRef, bool) {
+	if op.Type != OpSet && op.Type != OpDel {
+		return RowRef{}, false
+	}
+	if op.Obj == t.tables {
+		return RowRef{Table: op.Key}, true
+	}
+	parent, key, ok := t.doc.Parent(op.Obj)
+	if !ok {
+		return RowRef{}, false
+	}
+	if parent == t.tables {
+		return RowRef{Table: key, Key: op.Key}, true
+	}
+	grand, table, ok := t.doc.Parent(parent)
+	if !ok || grand != t.tables {
+		return RowRef{}, false
+	}
+	return RowRef{Table: table, Key: key}, true
+}
+
 // TableNames returns the existing table names, sorted.
 func (t *Table) TableNames() []string { return t.doc.MapKeys(t.tables) }
 

@@ -154,3 +154,59 @@ func TestTableFromDocRejectsPlainDoc(t *testing.T) {
 		t.Fatal("TableFromDoc accepted a doc without tables container")
 	}
 }
+
+// TestRowOfMapsOpsToRows follows concurrent inserts of one key: every
+// op of the merged changes maps to the row it may have changed — cell
+// writes on the row object that lost the race included — and object
+// creation to nothing.
+func TestRowOfMapsOpsToRows(t *testing.T) {
+	master := newTestTable(t)
+	var replicas []*Table
+	for _, actor := range []ActorID{"a", "b", "c"} {
+		r, err := master.Fork(actor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicas = append(replicas, r)
+	}
+	a, b, c := replicas[0], replicas[1], replicas[2]
+	// a and b insert key 7 concurrently, then each writes a cell on its
+	// own row object; at c one of those objects loses.
+	for _, r := range []*Table{a, b} {
+		if err := r.UpsertRow("books", "7", map[string]any{"title": string(r.Doc().Actor())}); err != nil {
+			t.Fatal(err)
+		}
+		r.Doc().Commit("")
+		if err := r.UpsertRow("books", "7", map[string]any{"stock": 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.EnsureTable("authors"); err != nil {
+		t.Fatal(err)
+	}
+	want := RowRef{Table: "books", Key: "7"}
+	var refs []RowRef
+	for _, r := range []*Table{a, b} {
+		_, err := c.Doc().ApplyChangesFunc(r.GetChanges(c.Heads()), func(ch Change) {
+			for _, op := range ch.Ops {
+				if ref, ok := c.RowOf(op); ok {
+					refs = append(refs, ref)
+				} else if op.Type != OpMake {
+					t.Errorf("op %v maps to no row", op)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Per replica: the row slot, the title cell, the stock cell; then
+	// b's new table.
+	wantRefs := []RowRef{want, want, want, want, want, want, {Table: "authors"}}
+	if !reflect.DeepEqual(refs, wantRefs) {
+		t.Fatalf("refs = %v, want %v", refs, wantRefs)
+	}
+	if !c.HasTable("authors") || c.HasTable("missing") {
+		t.Fatal("HasTable disagrees with the merged tables")
+	}
+}

@@ -68,8 +68,8 @@ func (o Options) withDefaults() Options {
 
 // Stats counts a store's lifetime I/O.
 type Stats struct {
-	// Appends counts persisted change batches; AppendedBytes the framed
-	// bytes written for them.
+	// Appends counts persisted records (one component's change batch,
+	// one frame each); AppendedBytes the framed bytes written for them.
 	Appends         int64
 	AppendedBytes   int64
 	Fsyncs          int64
@@ -78,8 +78,9 @@ type Stats struct {
 	SegmentsDeleted int64
 	// GroupCommits counts commit rounds: disk writes that flushed the
 	// append queue. Appends/GroupCommits is the mean commit batch size —
-	// under concurrent writers with FsyncAlways it exceeds 1 because
-	// queued appends share the leader's fsync.
+	// it exceeds 1 when one AppendRecords call carries several records,
+	// and under concurrent writers with FsyncAlways because queued
+	// appends share the leader's fsync.
 	GroupCommits int64
 	// MaxCommitBatch is the largest number of appends committed by a
 	// single round.
@@ -105,9 +106,10 @@ func newStoreObs(o *obs.Obs) storeObs {
 		replayFrames: o.Counter("durable.snapshot.replay_frames"),
 		recoveryMS:   o.Histogram("durable.recovery_ms"),
 		// durable.groupcommit.*: batches counts commit rounds,
-		// batched_appends counts appends that rode a round with more than
-		// one (i.e. shared another writer's fsync), batch_size is the
-		// per-round batch size distribution (see OBSERVABILITY.md).
+		// batched_appends counts records that rode a round with more than
+		// one (a multi-record append, or another writer's fsync shared),
+		// batch_size is the per-round batch size distribution (see
+		// OBSERVABILITY.md).
 		gcBatches:        o.Counter("durable.groupcommit.batches"),
 		gcBatchedAppends: o.Counter("durable.groupcommit.batched_appends"),
 		gcBatchSize:      o.Histogram("durable.groupcommit.batch_size"),
@@ -359,6 +361,13 @@ func (s *Store) replaySegment(path string, rec *Recovery) (valid int64, frames i
 	}
 }
 
+// Record is one component's batch of changes — the unit a WAL frame
+// holds.
+type Record struct {
+	Component string
+	Changes   []crdt.Change
+}
+
 // Append persists one batch of changes for the named component. Under
 // FsyncAlways the batch is on stable storage when Append returns —
 // this is what persist-before-ack in the sync runtime relies on.
@@ -367,17 +376,39 @@ func (s *Store) replaySegment(path string, rec *Recovery) (valid int64, frames i
 // single write and fsync (see the Store doc comment); the call still
 // blocks until this record's round is durable per the fsync policy.
 func (s *Store) Append(component string, chs []crdt.Change) error {
-	if len(chs) == 0 {
+	return s.AppendRecords(Record{Component: component, Changes: chs})
+}
+
+// AppendRecords persists several records in one commit round: one
+// write and, under FsyncAlways, one fsync for all of them. Each record
+// keeps its own CRC frame, so the on-disk format and torn-tail recovery
+// are those of separate Appends; a tear inside the round recovers the
+// records before it. Stats count every non-empty record as an append.
+func (s *Store) AppendRecords(recs ...Record) error {
+	// Encode and frame outside the lock into a pooled buffer: the frames
+	// are copied into the shared queue, so the buffer is recycled
+	// immediately. Each record adds at most 18 bytes to its encoded
+	// changes and component name: the frame header and a uvarint length.
+	hint, n := 0, 0
+	for _, r := range recs {
+		if len(r.Changes) > 0 {
+			hint += crdt.ChangesSizeHint(r.Changes) + 18 + len(r.Component)
+			n++
+		}
+	}
+	if n == 0 {
 		return nil
 	}
-	// Encode outside the lock into a pooled buffer: framing copies the
-	// payload into the shared queue, so the buffer is recycled
-	// immediately.
 	ebuf := crdt.GetEncodeBuffer()
-	if hint := crdt.ChangesSizeHint(chs) + 16 + len(component); cap(ebuf.B) < hint {
+	if cap(ebuf.B) < hint {
 		ebuf.B = make([]byte, 0, hint)
 	}
-	ebuf.B = encodeRecordInto(ebuf.B[:0], component, chs)
+	ebuf.B = ebuf.B[:0]
+	for _, r := range recs {
+		if len(r.Changes) > 0 {
+			ebuf.B = appendRecordFrame(ebuf.B, r.Component, r.Changes)
+		}
+	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -388,13 +419,13 @@ func (s *Store) Append(component string, chs []crdt.Change) error {
 	if s.queue == nil && s.spare != nil {
 		s.queue, s.spare = s.spare[:0], nil
 	}
-	s.queue = appendFrame(s.queue, ebuf.B)
+	s.queue = append(s.queue, ebuf.B...)
 	ebuf.Release()
 	if s.round == nil {
 		s.round = &commitRound{done: make(chan struct{})}
 	}
 	round := s.round
-	round.n++
+	round.n += n
 	if s.committing {
 		// A leader is mid-write; it will pick this round up next.
 		s.mu.Unlock()

@@ -141,16 +141,26 @@ func readFrame(r io.Reader) ([]byte, error) {
 //
 // The change encoding carries its own format-version byte (see
 // crdt.BinaryFormatVersion), so the record format is pinned with it.
-func encodeRecord(component string, chs []crdt.Change) []byte {
-	return encodeRecordInto(nil, component, chs)
-}
-
-// encodeRecordInto is the zero-copy variant: it appends the record to
-// dst, letting the append hot path encode into a pooled buffer.
+//
+// encodeRecordInto appends the record to dst, letting the append hot
+// path encode into a pooled buffer.
 func encodeRecordInto(dst []byte, component string, chs []crdt.Change) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(component)))
 	dst = append(dst, component...)
 	return crdt.EncodeChangesInto(dst, chs)
+}
+
+// appendRecordFrame encodes a record straight into a frame appended to
+// dst: the header is reserved first and filled in once the payload's
+// length and checksum are known, so the record is never copied.
+func appendRecordFrame(dst []byte, component string, chs []crdt.Change) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, 8)...)
+	dst = encodeRecordInto(dst, component, chs)
+	payload := dst[start+8:]
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 func decodeRecord(payload []byte) (string, []crdt.Change, error) {

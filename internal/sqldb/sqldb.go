@@ -23,6 +23,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -122,6 +123,9 @@ type tableData struct {
 	pkCol    string // "" means synthetic row IDs
 	rows     map[string]Row
 	keyOrder []string
+	// unsorted records that an insert appended a key below its
+	// predecessor, so keyOrder is no longer in ascending key order.
+	unsorted bool
 	nextID   int64
 }
 
@@ -132,6 +136,7 @@ func (t *tableData) clone() *tableData {
 		pkCol:    t.pkCol,
 		rows:     make(map[string]Row, len(t.rows)),
 		keyOrder: append([]string(nil), t.keyOrder...),
+		unsorted: t.unsorted,
 		nextID:   t.nextID,
 	}
 	for k, r := range t.rows {
@@ -292,6 +297,99 @@ func (db *DB) Dump() map[string][]Row {
 		out[name] = rows
 	}
 	return out
+}
+
+// KeyRows returns a table's rows with their primary keys, in scan
+// order. The keys are the ones mutation hooks report: the declared
+// primary key's value, or the synthetic "_rowid_N" of a table declared
+// without one.
+func (db *DB) KeyRows(table string) ([]string, []Row, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	t, err := db.table(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	keys := append([]string(nil), t.keyOrder...)
+	rows := make([]Row, len(keys))
+	for i, k := range keys {
+		rows[i] = t.rows[k].clone()
+	}
+	return keys, rows, nil
+}
+
+// WriteRows upserts and deletes rows by primary key without going
+// through SQL text: a nil Row deletes its key (an absent key is not an
+// error), any other Row replaces the row stored under its key or is
+// inserted under it. The key is taken as given, not derived from the
+// row's columns. Values take the same forms as statement arguments.
+//
+// Afterwards the table scans in ascending key order — the order a
+// reload of every row in key order would leave — even if local inserts
+// appended out of order since. Mutation hooks see one insert, update or
+// delete per written key, in key order, unless the database is muted.
+func (db *DB) WriteRows(table string, rows map[string]Row) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	t, err := db.table(table)
+	if err != nil {
+		return err
+	}
+	if t.unsorted {
+		sort.Strings(t.keyOrder)
+		t.unsorted = false
+	}
+	keys := make([]string, 0, len(rows))
+	for k := range rows {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		i, found := slices.BinarySearch(t.keyOrder, key)
+		if rows[key] == nil {
+			if !found {
+				continue
+			}
+			delete(t.rows, key)
+			t.keyOrder = slices.Delete(t.keyOrder, i, i+1)
+			db.emit(Mutation{Table: table, Kind: MutDelete, Key: key})
+			continue
+		}
+		row := make(Row, len(rows[key]))
+		for c, v := range rows[key] {
+			nv, err := normalizeArg(v)
+			if err != nil {
+				return fmt.Errorf("sqldb: row %s/%s column %q: %w", table, key, c, err)
+			}
+			if b, ok := nv.([]byte); ok {
+				nv = append([]byte(nil), b...) // own the caller's bytes
+			}
+			row[c] = nv
+		}
+		t.rows[key] = row
+		kind := MutUpdate
+		if !found {
+			kind = MutInsert
+			t.keyOrder = slices.Insert(t.keyOrder, i, key)
+			t.reserveRowID(key)
+		}
+		if !db.muted {
+			db.emit(Mutation{Table: table, Kind: kind, Key: key, Cols: row.clone()})
+		}
+	}
+	return nil
+}
+
+// reserveRowID advances a key-less table's row-ID counter past a
+// synthetic key written from outside, so later inserts cannot reuse it.
+func (t *tableData) reserveRowID(key string) {
+	digits, ok := strings.CutPrefix(key, "_rowid_")
+	if t.pkCol != "" || !ok {
+		return
+	}
+	if n, err := strconv.ParseInt(digits, 10, 64); err == nil && n > t.nextID {
+		t.nextID = n
+	}
 }
 
 // Exec parses and executes one SQL statement. Placeholders (?) are
@@ -522,6 +620,9 @@ func (db *DB) execInsert(s *insertStmt, args []any) (*Result, error) {
 			key = "_rowid_" + strconv.FormatInt(t.nextID, 10)
 		}
 		t.rows[key] = row
+		if n := len(t.keyOrder); n > 0 && key < t.keyOrder[n-1] {
+			t.unsorted = true
+		}
 		t.keyOrder = append(t.keyOrder, key)
 		res.Affected++
 		res.LastKey = key

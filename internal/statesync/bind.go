@@ -1,8 +1,8 @@
 package statesync
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -157,7 +157,7 @@ func bind(app *httpapp.App, state *ReplicaState, units analysis.StateUnits, seed
 		return b, nil
 	}
 	// Replica path: load the snapshot state into the app.
-	if err := b.PushIntoApp(); err != nil {
+	if err := b.pushIntoApp(b.everything()); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -177,12 +177,8 @@ func normalizeCols(cols map[string]any) map[string]any {
 }
 
 func (b *Binding) seed() error {
-	dump := b.app.DB().Dump()
-	names := make([]string, 0, len(dump))
-	for name := range dump {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	db := b.app.DB()
+	names := db.TableNames()
 	for _, name := range names {
 		if !b.trackedTables[name] {
 			continue
@@ -191,13 +187,13 @@ func (b *Binding) seed() error {
 			return err
 		}
 	}
-	// Replay current rows through SQL SELECT to get keys: use the dump
-	// plus key recovery via a full SELECT per table.
+	// Rows are keyed exactly as the mutation hooks key them, so a later
+	// UPDATE or DELETE mirrors onto the seeded row, never beside it.
 	for _, name := range names {
 		if !b.trackedTables[name] {
 			continue
 		}
-		rows, keys, err := tableRows(b.app.DB(), name)
+		keys, rows, err := db.KeyRows(name)
 		if err != nil {
 			return err
 		}
@@ -219,41 +215,6 @@ func (b *Binding) seed() error {
 		}
 	}
 	return b.MirrorGlobals()
-}
-
-// tableRows returns a table's rows along with their primary keys.
-func tableRows(db *sqldb.DB, table string) ([]map[string]any, []string, error) {
-	res, err := db.Exec("SELECT * FROM " + table)
-	if err != nil {
-		return nil, nil, err
-	}
-	keys := make([]string, len(res.Rows))
-	rows := make([]map[string]any, len(res.Rows))
-	pk := primaryKeyCol(res.Cols, res.Rows)
-	for i, r := range res.Rows {
-		rows[i] = r
-		if pk != "" {
-			keys[i] = fmt.Sprint(r[pk])
-		} else {
-			keys[i] = fmt.Sprintf("_row%d", i)
-		}
-	}
-	return rows, keys, nil
-}
-
-// primaryKeyCol guesses the key column: "id" if present, else the first
-// column.
-func primaryKeyCol(cols []string, rows []sqldb.Row) string {
-	for _, c := range cols {
-		if strings.EqualFold(c, "id") {
-			return c
-		}
-	}
-	if len(cols) > 0 {
-		return cols[0]
-	}
-	_ = rows
-	return ""
 }
 
 // MirrorGlobals copies changed tracked globals into CRDT-JSON. The
@@ -289,17 +250,105 @@ func (b *Binding) ApplyRemote(d Delta) error {
 
 // ApplyRemoteCount is ApplyRemote reporting how many changes the CRDT
 // layer actually integrated (duplicates are ignored and not counted).
+// Only what the integrated changes touched is written into the app, so
+// the cost follows the delta, not the size of the replicated state.
 func (b *Binding) ApplyRemoteCount(d Delta) (int, error) {
-	n, err := b.state.ApplyCount(d)
-	if err != nil {
-		return n, err
+	var t touched
+	n, err := b.state.ApplyFunc(d, func(comp string, ch crdt.Change) { b.note(&t, comp, ch) })
+	// Push even after a failed apply: whatever was integrated before the
+	// failure must still reach the app.
+	if perr := b.pushIntoApp(&t); err == nil {
+		err = perr
 	}
-	return n, b.PushIntoApp()
+	return n, err
 }
 
-// PushIntoApp materializes the CRDT state into the live database,
-// filesystem, and interpreter globals.
-func (b *Binding) PushIntoApp() error {
+// touched is what a batch of integrated changes may have altered in the
+// app: rows by table, tables to reconcile in full, file paths, and
+// global names.
+type touched struct {
+	rows    map[string]map[string]bool
+	tables  map[string]bool
+	files   map[string]bool
+	globals map[string]bool
+}
+
+func mark(set *map[string]bool, k string) {
+	if *set == nil {
+		*set = map[string]bool{}
+	}
+	(*set)[k] = true
+}
+
+// note maps one integrated change's ops to what they may have altered.
+func (b *Binding) note(t *touched, comp string, ch crdt.Change) {
+	for _, op := range ch.Ops {
+		switch comp {
+		case CompTables:
+			ref, ok := b.state.Tables.RowOf(op)
+			if !ok || !b.trackedTables[ref.Table] {
+				continue
+			}
+			if ref.Key == "" {
+				mark(&t.tables, ref.Table)
+				continue
+			}
+			if t.rows == nil {
+				t.rows = map[string]map[string]bool{}
+			}
+			keys := t.rows[ref.Table]
+			mark(&keys, ref.Key)
+			t.rows[ref.Table] = keys
+		case CompFiles:
+			if p, ok := b.state.Files.PathOf(op); ok && b.trackedFiles {
+				mark(&t.files, p)
+			}
+		case CompJSON:
+			if name, ok := globalOf(b.state.JSON, op); ok {
+				mark(&t.globals, name)
+			}
+		}
+	}
+}
+
+// globalOf maps a CRDT-JSON op to the global it may have changed by
+// climbing from the op's object to its root slot, "g:<name>".
+func globalOf(doc *crdt.Doc, op crdt.Op) (string, bool) {
+	obj, key := op.Obj, op.Key
+	for obj != crdt.RootObj {
+		p, k, ok := doc.Parent(obj)
+		if !ok {
+			return "", false
+		}
+		obj, key = p, k
+	}
+	return strings.CutPrefix(key, "g:")
+}
+
+// everything marks all of the replicated state as touched — the initial
+// push of a snapshot into a replica app.
+func (b *Binding) everything() *touched {
+	t := &touched{}
+	for _, name := range b.state.Tables.TableNames() {
+		if b.trackedTables[name] {
+			mark(&t.tables, name)
+		}
+	}
+	if b.trackedFiles {
+		for _, p := range b.state.Files.Paths() {
+			mark(&t.files, p)
+		}
+	}
+	for _, name := range b.units.GlobalsToSync() {
+		mark(&t.globals, name)
+	}
+	return t
+}
+
+// pushIntoApp writes the touched part of the CRDT state into the live
+// database, filesystem and interpreter globals, with mutation hooks
+// muted.
+func (b *Binding) pushIntoApp(t *touched) error {
 	db := b.app.DB()
 	db.SetMuted(true)
 	defer db.SetMuted(false)
@@ -307,44 +356,38 @@ func (b *Binding) PushIntoApp() error {
 	fs.SetMuted(true)
 	defer fs.SetMuted(false)
 
-	// Tables: rebuild tracked tables from CRDT rows.
-	for _, name := range b.state.Tables.TableNames() {
-		if !b.trackedTables[name] {
+	// Every tracked table is written, touched or not: a write without
+	// rows still restores ascending key order after local inserts, the
+	// scan order replicas agree on after an apply.
+	for name := range b.trackedTables {
+		if !b.state.Tables.HasTable(name) {
 			continue
 		}
-		if _, err := db.Exec("CREATE TABLE IF NOT EXISTS " + name + " (id INT PRIMARY KEY)"); err != nil {
+		if err := b.writeTable(name, t.tables[name], t.rows[name]); err != nil {
 			return err
 		}
-		if _, err := db.Exec("DELETE FROM " + name); err != nil {
+	}
+	for p := range t.files {
+		content, ok := b.state.Files.Read(p)
+		if !ok {
+			if fs.Exists(p) {
+				if err := fs.Remove(p); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		if cur, err := fs.Read(p); err == nil && string(cur) == string(content) {
+			continue
+		}
+		if err := fs.Write(p, content); err != nil {
 			return err
 		}
-		for _, key := range b.state.Tables.RowKeys(name) {
-			row, ok := b.state.Tables.Row(name, key)
-			if !ok {
-				continue
-			}
-			if err := insertRow(db, name, row); err != nil {
-				return err
-			}
-		}
 	}
-	// Files.
-	if b.trackedFiles {
-		for _, p := range b.state.Files.Paths() {
-			content, ok := b.state.Files.Read(p)
-			if !ok {
-				continue
-			}
-			if cur, err := fs.Read(p); err == nil && string(cur) == string(content) {
-				continue
-			}
-			if err := fs.Write(p, content); err != nil {
-				return err
-			}
-		}
-	}
-	// Globals.
 	for _, name := range b.units.GlobalsToSync() {
+		if !t.globals[name] {
+			continue
+		}
 		v, ok := b.state.JSON.MapGet("root", "g:"+name)
 		if !ok {
 			continue
@@ -365,19 +408,35 @@ func (b *Binding) PushIntoApp() error {
 	return nil
 }
 
-func insertRow(db *sqldb.DB, table string, row map[string]any) error {
-	cols := make([]string, 0, len(row))
-	for c := range row {
-		cols = append(cols, c)
+// writeTable writes one table's touched rows by key: each key takes its
+// CRDT row, or is deleted when the CRDT no longer holds one. whole
+// reconciles every key either side holds. A table missing from the
+// database is created first (keyed on "id") and then filled in full.
+func (b *Binding) writeTable(name string, whole bool, keys map[string]bool) error {
+	db := b.app.DB()
+	if _, err := db.RowCount(name); errors.Is(err, sqldb.ErrNoTable) {
+		if _, err := db.Exec("CREATE TABLE " + name + " (id INT PRIMARY KEY)"); err != nil {
+			return err
+		}
+		whole = true
 	}
-	sort.Strings(cols)
-	placeholders := make([]string, len(cols))
-	args := make([]any, len(cols))
-	for i, c := range cols {
-		placeholders[i] = "?"
-		args[i] = row[c]
+	if whole {
+		dbKeys, _, err := db.KeyRows(name)
+		if err != nil {
+			return err
+		}
+		keys = make(map[string]bool, len(dbKeys))
+		for _, k := range dbKeys {
+			keys[k] = true
+		}
+		for _, k := range b.state.Tables.RowKeys(name) {
+			keys[k] = true
+		}
 	}
-	q := "INSERT INTO " + table + " (" + strings.Join(cols, ", ") + ") VALUES (" + strings.Join(placeholders, ", ") + ")"
-	_, err := db.Exec(q, args...)
-	return err
+	rows := make(map[string]sqldb.Row, len(keys))
+	for k := range keys {
+		row, _ := b.state.Tables.Row(name, k)
+		rows[k] = row
+	}
+	return db.WriteRows(name, rows)
 }

@@ -58,9 +58,10 @@ func (p *Persister) Heads() Heads {
 }
 
 // Sync appends every change in state beyond the persisted watermark to
-// the WAL and advances the watermark. Under fsync policy "always" the
-// changes are on stable storage when Sync returns — callers ack only
-// after it does.
+// the WAL and advances the watermark. All components go to the store in
+// one commit round — one write and one fsync — as one record each.
+// Under fsync policy "always" the changes are on stable storage when
+// Sync returns — callers ack only after it does.
 func (p *Persister) Sync(state *ReplicaState) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -68,13 +69,12 @@ func (p *Persister) Sync(state *ReplicaState) error {
 	if delta.Empty() {
 		return nil
 	}
-	for _, comp := range []string{CompJSON, CompTables, CompFiles} {
-		if len(delta[comp]) == 0 {
-			continue
-		}
-		if err := p.store.Append(comp, delta[comp]); err != nil {
-			return fmt.Errorf("statesync: persist %s: %w", comp, err)
-		}
+	if err := p.store.AppendRecords(
+		durable.Record{Component: CompJSON, Changes: delta[CompJSON]},
+		durable.Record{Component: CompTables, Changes: delta[CompTables]},
+		durable.Record{Component: CompFiles, Changes: delta[CompFiles]},
+	); err != nil {
+		return fmt.Errorf("statesync: persist: %w", err)
 	}
 	p.watermark = advanceHeads(p.watermark, delta)
 	p.pending += delta.Changes()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/crdt"
 	"repro/internal/durable"
 	"repro/internal/faultnet"
 	"repro/internal/netem"
@@ -84,6 +85,73 @@ func TestPersisterRoundTrip(t *testing.T) {
 	}
 	if NewPersister(store2, 0).Heads()[CompJSON]["cloud/j"] == 0 {
 		t.Fatal("watermark did not resume from recovery")
+	}
+}
+
+// TestPersisterSyncOneRound pins one WAL round per persist: a Sync
+// carrying JSON, tables and files changes is one commit round with one
+// fsync, appends one record per component, and recovers the same
+// per-component changes.
+func TestPersisterSyncOneRound(t *testing.T) {
+	dir := t.TempDir()
+	store, err := durable.Open(dir, durable.Options{Fsync: durable.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newState(t, "cloud")
+	p := NewPersister(store, 0)
+	if err := p.Sync(st); err != nil { // the container-creation changes
+		t.Fatal(err)
+	}
+	if err := st.JSON.PutScalar("root", "v", 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Tables.EnsureTable("users"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Tables.UpsertRow("users", "1", map[string]any{"id": 1.0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Files.Write("a.txt", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	before := store.Stats()
+	if err := p.Sync(st); err != nil {
+		t.Fatal(err)
+	}
+	after := store.Stats()
+	if got := after.GroupCommits - before.GroupCommits; got != 1 {
+		t.Fatalf("one persist took %d commit rounds, want 1", got)
+	}
+	if got := after.Fsyncs - before.Fsyncs; got != 1 {
+		t.Fatalf("one persist took %d fsyncs, want 1", got)
+	}
+	if got := after.Appends - before.Appends; got != 3 {
+		t.Fatalf("one persist appended %d records, want 3 (one per component)", got)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, err := durable.Open(dir, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = store2.Close() }()
+	rec := store2.Recovery()
+	want := st.Delta(nil)
+	for _, comp := range []string{CompJSON, CompTables, CompFiles} {
+		got, err := crdt.EncodeChanges(rec.Components[comp])
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := crdt.EncodeChanges(want[comp])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(exp) {
+			t.Fatalf("component %s recovered %d changes, want the %d persisted", comp, len(rec.Components[comp]), len(want[comp]))
+		}
 	}
 }
 

@@ -149,15 +149,28 @@ func (s *ReplicaState) Apply(d Delta) error {
 // operations — the transport's duplicate-free re-handshake tests pin
 // the two equal.
 func (s *ReplicaState) ApplyCount(d Delta) (int, error) {
-	nj, err := s.JSON.ApplyChanges(d[CompJSON])
+	return s.ApplyFunc(d, nil)
+}
+
+// ApplyFunc is ApplyCount calling integrated (when non-nil) with each
+// change the CRDT layer integrated and the component it belongs to —
+// the input the binding derives touched rows, files and globals from.
+func (s *ReplicaState) ApplyFunc(d Delta, integrated func(comp string, ch crdt.Change)) (int, error) {
+	visit := func(comp string) func(crdt.Change) {
+		if integrated == nil {
+			return nil
+		}
+		return func(ch crdt.Change) { integrated(comp, ch) }
+	}
+	nj, err := s.JSON.ApplyChangesFunc(d[CompJSON], visit(CompJSON))
 	if err != nil {
 		return nj, fmt.Errorf("statesync: json: %w", err)
 	}
-	nt, err := s.Tables.ApplyChanges(d[CompTables])
+	nt, err := s.Tables.Doc().ApplyChangesFunc(d[CompTables], visit(CompTables))
 	if err != nil {
 		return nj + nt, fmt.Errorf("statesync: tables: %w", err)
 	}
-	nf, err := s.Files.ApplyChanges(d[CompFiles])
+	nf, err := s.Files.Doc().ApplyChangesFunc(d[CompFiles], visit(CompFiles))
 	if err != nil {
 		return nj + nt + nf, fmt.Errorf("statesync: files: %w", err)
 	}

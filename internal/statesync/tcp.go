@@ -477,7 +477,12 @@ func (m *TCPMaster) serveConn(conn net.Conn) {
 				m.o.batchChangesSent.Observe(float64(delta.Changes()))
 				if err == nil {
 					if granted == len(frames) {
-						peerKnown = heads
+						// Merge, not assign: heads was read before the
+						// unlock, and the reader may have advanced
+						// peerKnown past it since (what the edge sent us
+						// meanwhile). Assigning would drop that and echo
+						// the edge's own changes back next tick.
+						peerKnown = mergeHeads(peerKnown, heads)
 					} else {
 						for _, f := range sent {
 							peerKnown = advanceHeads(peerKnown, f.Delta)
@@ -916,7 +921,9 @@ func (e *TCPEdge) runSession(conn net.Conn, r *bufio.Reader, wc *wireConn) {
 				e.o.batchChangesSent.Observe(float64(delta.Changes()))
 				if err == nil {
 					if granted == len(frames) {
-						e.peerKnown = heads
+						// Merge, not assign: see the same step in
+						// TCPMaster.serveConn.
+						e.peerKnown = mergeHeads(e.peerKnown, heads)
 					} else {
 						for _, f := range sent {
 							e.peerKnown = advanceHeads(e.peerKnown, f.Delta)

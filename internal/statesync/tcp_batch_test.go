@@ -136,7 +136,9 @@ func TestTCPCoalescingElidesOverwrites(t *testing.T) {
 		}
 	})
 	waitConverged(t, srv, master, edge, st)
-	if got := edge.Stats().OpsElided; got == 0 {
+	// The pusher credits elided ops only after its write returns, which
+	// can be after the master has applied the batch: poll, don't sample.
+	if !waitFor(t, 5*time.Second, func() bool { return edge.Stats().OpsElided > 0 }) {
 		t.Fatal("50 overwrites of one key in one push elided nothing")
 	}
 	var v float64
